@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test check race race-grids bench vet lint lint-sarif lint-vet lint-bench fmt serve-smoke serve-bench sim-bench fleet-bench hmpc-bench
+.PHONY: build test check race race-grids bench vet lint lint-sarif lint-vet lint-bench fmt serve-smoke serve-bench sim-bench fleet-bench hmpc-bench perfbench-smoke
 
 build:
 	$(GO) build ./...
@@ -66,6 +66,13 @@ race-grids:
 
 bench:
 	$(GO) test -bench 'Batch' -benchtime 1x ./internal/experiments
+
+# The repository benchmark (perfbench/, run by perfbench/run.sh) is a nested
+# module, so `go test ./...` at the root never builds it. Its own tests run
+# every workload at smoke size against this checkout, which catches an API
+# change here that would break the benchmark.
+perfbench-smoke:
+	$(GO) -C perfbench test ./...
 
 # End-to-end smoke of the HTTP subsystem: boots cmd/otem-serve on an
 # ephemeral port, checks /healthz, a real /v1/simulate, the cache-hit

@@ -19,7 +19,6 @@ import (
 	"math"
 
 	"repro/internal/battery"
-	"repro/internal/linalg"
 )
 
 // ErrBadData is returned for empty or mismatched sample sets.
@@ -47,19 +46,12 @@ func OCV(z, voc []float64) (OCVResult, error) {
 	}
 	// Inner solve for a fixed exponential rate k.
 	solve := func(k float64) (OCVResult, float64) {
-		a := linalg.NewMatrix(len(z), 6)
-		b := make(linalg.Vector, len(z))
-		for i, zi := range z {
+		a := make([]float64, 0, 6*len(z))
+		for _, zi := range z {
 			z2 := zi * zi
-			a.Set(i, 0, math.Exp(k*zi))
-			a.Set(i, 1, z2*z2)
-			a.Set(i, 2, z2*zi)
-			a.Set(i, 3, z2)
-			a.Set(i, 4, zi)
-			a.Set(i, 5, 1)
-			b[i] = voc[i]
+			a = append(a, math.Exp(k*zi), z2*z2, z2*zi, z2, zi, 1)
 		}
-		coef, err := linalg.LeastSquares(a, b)
+		coef, err := leastSquares(a, 6, voc)
 		if err != nil {
 			return OCVResult{}, math.Inf(1)
 		}
@@ -101,14 +93,11 @@ func Resistance(z, res []float64) (ResistanceResult, error) {
 		return ResistanceResult{}, fmt.Errorf("%w: %d/%d resistance samples (need ≥4, matched)", ErrBadData, len(z), len(res))
 	}
 	solve := func(k float64) (ResistanceResult, float64) {
-		a := linalg.NewMatrix(len(z), 2)
-		b := make(linalg.Vector, len(z))
-		for i, zi := range z {
-			a.Set(i, 0, math.Exp(k*zi))
-			a.Set(i, 1, 1)
-			b[i] = res[i]
+		a := make([]float64, 0, 2*len(z))
+		for _, zi := range z {
+			a = append(a, math.Exp(k*zi), 1)
 		}
-		coef, err := linalg.LeastSquares(a, b)
+		coef, err := leastSquares(a, 2, res)
 		if err != nil {
 			return ResistanceResult{}, math.Inf(1)
 		}

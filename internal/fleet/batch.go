@@ -23,19 +23,14 @@ import (
 // hundred bytes per lane) stays cache-resident on one worker.
 const DefaultBatch = 64
 
-// Options configures a fleet run beyond the Spec. The zero value runs the
-// batched rollout at DefaultBatch width on a private pool.
+// Options configures a fleet run beyond the Spec. The zero value runs on
+// a private pool without progress reports.
 type Options struct {
 	// Pool supplies the workers; nil uses a fresh default pool.
 	Pool *runner.Pool
 	// Progress, when non-nil, is called after each finished chunk with the
 	// cumulative number of completed vehicles; calls are serialized.
 	Progress func(vehiclesDone, vehiclesTotal int)
-	// Batch selects the rollout: 0 means the batched path at DefaultBatch
-	// width, a positive value the batched path at that lane width, and a
-	// negative value the per-vehicle reference path. Outcomes are
-	// bit-identical across every setting; only throughput differs.
-	Batch int
 }
 
 // Run executes the fleet on the pool and returns the merged result, using
@@ -46,8 +41,17 @@ func Run(ctx context.Context, spec Spec, pool *runner.Pool, progress func(vehicl
 	return RunWith(ctx, spec, Options{Pool: pool, Progress: progress})
 }
 
-// RunWith is Run with explicit rollout options.
+// RunWith is Run with explicit options. It always runs the batched rollout
+// at DefaultBatch width.
 func RunWith(ctx context.Context, spec Spec, opts Options) (*Result, error) {
+	return runWith(ctx, spec, opts, DefaultBatch)
+}
+
+// runWith runs the fleet with the given rollout width: a positive value
+// batches that many vehicles per lockstep group, a negative value rolls
+// one vehicle at a time on the per-vehicle reference path. Outcomes are
+// bit-identical at every width; tests use it to check exactly that.
+func runWith(ctx context.Context, spec Spec, opts Options, width int) (*Result, error) {
 	spec = spec.withDefaults()
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -55,10 +59,6 @@ func RunWith(ctx context.Context, spec Spec, opts Options) (*Result, error) {
 	pool := opts.Pool
 	if pool == nil {
 		pool = runner.New()
-	}
-	width := opts.Batch
-	if width == 0 {
-		width = DefaultBatch
 	}
 
 	chunks := numChunks(spec.Vehicles)

@@ -17,17 +17,16 @@ import (
 // misaligns with the chunk size, the default, and whole-fleet lanes.
 func TestBatchedIdentityAcrossWidthsAndWorkers(t *testing.T) {
 	spec := testSpec()
-	ref, err := RunWith(context.Background(), spec, Options{Batch: -1})
+	ref, err := runWith(context.Background(), spec, Options{}, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	refDigest := ref.Digest()
 	for _, width := range []int{1, 7, DefaultBatch, testSpec().Vehicles} {
 		for _, workers := range []int{1, runtime.NumCPU()} {
-			got, err := RunWith(context.Background(), spec, Options{
-				Pool:  runner.New(runner.Workers(workers)),
-				Batch: width,
-			})
+			got, err := runWith(context.Background(), spec, Options{
+				Pool: runner.New(runner.Workers(workers)),
+			}, width)
 			if err != nil {
 				t.Fatalf("batch=%d workers=%d: %v", width, workers, err)
 			}
@@ -57,12 +56,12 @@ func TestBatchedIdentityOtherMethods(t *testing.T) {
 		{policy.MethodologyOTEM, 6, 1},
 	} {
 		spec := Spec{Vehicles: tc.vehicles, Days: tc.days, Seed: 99, Method: tc.method, RouteSeconds: 120}
-		ref, err := RunWith(context.Background(), spec, Options{Batch: -1})
+		ref, err := runWith(context.Background(), spec, Options{}, -1)
 		if err != nil {
 			t.Fatalf("%s reference: %v", tc.method, err)
 		}
 		for _, width := range []int{1, 7, DefaultBatch} {
-			got, err := RunWith(context.Background(), spec, Options{Batch: width})
+			got, err := runWith(context.Background(), spec, Options{}, width)
 			if err != nil {
 				t.Fatalf("%s batch=%d: %v", tc.method, width, err)
 			}
@@ -79,7 +78,7 @@ func TestBatchedIdentityOtherMethods(t *testing.T) {
 // is the default, not an opt-in fork.
 func TestRunUsesBatchedDefault(t *testing.T) {
 	spec := testSpec()
-	ref, err := RunWith(context.Background(), spec, Options{Batch: -1})
+	ref, err := runWith(context.Background(), spec, Options{}, -1)
 	if err != nil {
 		t.Fatal(err)
 	}

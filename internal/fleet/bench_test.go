@@ -107,15 +107,15 @@ func TestFleetBenchJSON(t *testing.T) {
 	ctx := context.Background()
 
 	// run rolls the fleet once on a fresh pool and reports elapsed time
-	// and heap allocations. batch < 0 selects the per-vehicle reference
-	// path, 0 the auto-sized batched rollout.
-	run := func(workers, batch int) (*Result, time.Duration, uint64) {
+	// and heap allocations. width < 0 selects the per-vehicle reference
+	// path, DefaultBatch the batched rollout RunWith uses.
+	run := func(workers, width int) (*Result, time.Duration, uint64) {
 		pool := runner.New(runner.Workers(workers))
 		var m0, m1 runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&m0)
 		start := time.Now()
-		res, err := RunWith(ctx, spec, Options{Pool: pool, Batch: batch})
+		res, err := runWith(ctx, spec, Options{Pool: pool}, width)
 		elapsed := time.Since(start)
 		runtime.ReadMemStats(&m1)
 		if err != nil {
@@ -135,7 +135,7 @@ func TestFleetBenchJSON(t *testing.T) {
 			minRef = d
 		}
 		refRes = res
-		res, d, allocs := run(1, 0)
+		res, d, allocs := run(1, DefaultBatch)
 		if d < minBat {
 			minBat = d
 		}
@@ -159,7 +159,7 @@ func TestFleetBenchJSON(t *testing.T) {
 	}
 	runs := make([]fleetBenchWorkerRun, 0, len(workerCounts))
 	for _, w := range workerCounts {
-		res, d, _ := run(w, 0)
+		res, d, _ := run(w, DefaultBatch)
 		if g := res.Digest(); g != refRes.Digest() {
 			t.Fatalf("determinism violated at %d workers: digest %s, want %s", w, g, refRes.Digest())
 		}

@@ -1,5 +1,5 @@
 // AVX lockstep bisection kernel. Layout and semantics are fixed by the
-// lanes8 struct and the scalar loop in solveParallelBus: every arithmetic
+// lanes8 struct and the scalar loop in busBisect: every arithmetic
 // instruction below evaluates the same IEEE-754 operation sequence as the
 // scalar code (multiplying by 0.5 is exact, hence identical to the /2),
 // so each lane's bracket sequence is reproduced bit for bit. Converged

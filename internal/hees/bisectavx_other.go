@@ -2,8 +2,8 @@
 
 package hees
 
-// useAVX is always false off amd64: Solve dispatches to the portable
-// register-blocked kernels.
+// useAVX is always false off amd64: Solve bisects each lane with
+// busBisect.
 var useAVX = false
 
 // bisect8AVX is unreachable when useAVX is false.

@@ -113,12 +113,12 @@ func TestStepParallelPreparedSplit(t *testing.T) {
 }
 
 // TestBusBatchPortableMatchesScalar re-runs the batched-vs-scalar identity
-// property with the AVX kernel disabled, so the portable register-blocked
-// kernels are exercised even on machines where Solve would normally
-// dispatch to the vector path.
+// property with the AVX kernel disabled, so Solve's portable per-lane loop
+// over busBisect (the only path off AVX) is exercised even on machines
+// where Solve would normally dispatch to the vector kernel.
 func TestBusBatchPortableMatchesScalar(t *testing.T) {
 	if !useAVX {
-		t.Skip("portable kernels already covered by TestBusBatchMatchesScalar")
+		t.Skip("portable loop already covered by TestBusBatchMatchesScalar")
 	}
 	useAVX = false
 	defer func() { useAVX = true }()

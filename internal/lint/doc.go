@@ -22,8 +22,8 @@
 //     sentinel tests must use errors.Is, so otem.ErrUnknownCycle and
 //     friends survive every layer.
 //   - nopanic: library packages return errors; panic is for init and
-//     Must* constructors (the linalg kernels opt out file-by-file with a
-//     documented contract).
+//     Must* constructors (documented programmer-error contracts opt out
+//     line by line with a //lint:ignore).
 //   - detrand: no global math/rand or time.Now inside internal/sim,
 //     internal/mpc, internal/policy — replay determinism is a tested
 //     property.

@@ -13,8 +13,8 @@ import (
 // route's result. Library code must return errors; panics are reserved
 // for init-time wiring and Must*-style constructors whose inputs are
 // compile-time constants, plus explicitly justified programmer-error
-// contracts (e.g. dimension mismatches in the linalg kernels, which
-// follow the gonum convention — suppressed there file-by-file).
+// contracts (e.g. mismatched scratch lengths in the optimize kernels,
+// which follow the gonum convention — suppressed there line by line).
 var NoPanic = &Analyzer{
 	Name: "nopanic",
 	Doc: `forbid panic outside init functions and Must*-style constructors

@@ -27,9 +27,10 @@ type cacheEntry[T any] struct {
 
 // flight is one in-progress computation identical requests wait on.
 type flight[T any] struct {
-	done chan struct{} // closed when res/err are final
-	res  T
-	err  error
+	done    chan struct{} // closed when res/err are final
+	res     T
+	err     error
+	waiters int // requests coalesced onto this flight; guarded by cache.mu
 }
 
 // cache is the deterministic result cache plus singleflight coalescer,
@@ -80,6 +81,7 @@ func (c *cache[T]) do(ctx context.Context, key string, fn func() (T, error)) (T,
 		return res, cacheHit, nil
 	}
 	if f, ok := c.flight[key]; ok {
+		f.waiters++
 		c.mu.Unlock()
 		select {
 		case <-f.done:
@@ -126,6 +128,17 @@ func (c *cache[T]) put(key string, res T) {
 	c.store(key, res)
 }
 
+// forget drops the stored entry for key, if any (the path for a value
+// that turned out unservable after it was cached).
+func (c *cache[T]) forget(key string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e, ok := c.byKey[key]; ok {
+		c.lru.Remove(e)
+		delete(c.byKey, key)
+	}
+}
+
 // store inserts under the LRU bound; the caller holds c.mu.
 func (c *cache[T]) store(key string, res T) {
 	if c.max <= 0 {
@@ -142,6 +155,18 @@ func (c *cache[T]) store(key string, res T) {
 		c.lru.Remove(oldest)
 		delete(c.byKey, oldest.Value.(*cacheEntry[T]).key)
 	}
+}
+
+// waiting reports how many requests are coalesced onto in-flight
+// computations (test hook).
+func (c *cache[T]) waiting() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := 0
+	for _, f := range c.flight {
+		n += f.waiters
+	}
+	return n
 }
 
 // len reports the number of stored entries (test hook).

@@ -63,10 +63,12 @@ func TestCoalescingUnderLoad(t *testing.T) {
 	}
 
 	// Followers block inside the coalescer until the leader finishes, so
-	// the observable join signal is the inflight gauge reaching every
-	// client while the simulator has only been entered once.
+	// the join signal is every other client waiting on the leader's
+	// flight. (The inflight gauge is not enough: it counts a client as
+	// soon as its handler starts, before it reaches the cache, and a
+	// client that gets there after the leader finished is a hit.)
 	waitFor(t, "all clients joined the flight", func() bool {
-		return s.metrics.inflightSimulate.Load() == clients
+		return s.cache.waiting() == clients-1
 	})
 	close(release)
 	wg.Wait()

@@ -245,3 +245,37 @@ func TestFleetMetrics(t *testing.T) {
 		}
 	}
 }
+
+// TestFleetUnencodableResultIs500NotCached: a fleet whose plant runs to
+// NaN (ultracap_farad=1e308) is answered with a 500 on both fleet
+// endpoints, and the result leaves the cache so no repeat is a hit.
+func TestFleetUnencodableResultIs500NotCached(t *testing.T) {
+	s := newTestServer(Config{})
+	var calls atomic.Int64
+	stubFleet(s, &calls)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	resp := postJSON(t, ts.URL+"/v1/fleet", `{"vehicles":2,"method":"parallel","route_seconds":60,"ultracap_farad":1e308}`)
+	if body := readAll(t, resp); resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("fleet: status %d (%d-byte body), want 500", resp.StatusCode, len(body))
+	}
+	resp, err := http.Get(ts.URL + "/v1/fleet/stream?vehicles=2&method=parallel&route_seconds=60&ultracap_farad=1e308")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The stream's 200 went out with its first progress line, so the
+	// failure must arrive as the final error event.
+	lines := strings.Split(strings.TrimSpace(string(readAll(t, resp))), "\n")
+	var last fleetErrorEvent
+	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &last); err != nil ||
+		last.Event != "error" || last.Code != http.StatusInternalServerError {
+		t.Errorf("stream: final line %q is not a 500 error event (%v)", lines[len(lines)-1], err)
+	}
+	if calls.Load() != 2 {
+		t.Errorf("fleet ran %d times, want 2 (the unencodable result must not be cached)", calls.Load())
+	}
+	if n := s.fleetCache.len(); n != 0 {
+		t.Errorf("fleet cache holds %d entries, want 0", n)
+	}
+}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -74,7 +75,7 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.Handler {
 			if rec := recover(); rec != nil {
 				s.logf("panic in %s handler (isolated): %v", endpoint, rec)
 				if !sw.wrote {
-					writeJSON(sw, http.StatusInternalServerError,
+					_ = writeJSON(sw, http.StatusInternalServerError,
 						errorResponse{Error: "internal error: request panicked", Code: http.StatusInternalServerError})
 				}
 			}
@@ -84,13 +85,34 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.Handler {
 	})
 }
 
-// writeJSON renders one JSON response body. Encoding a value built from
-// plain result/error structs cannot fail; a broken client connection is
-// the only error source and is deliberately not reported to the peer.
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// writeJSON renders one JSON response body. The body is encoded before
+// the header goes out, so a value that cannot be encoded (a NaN or ±Inf
+// in a result) is answered with a 500 error body instead of an empty 200;
+// the encoding error is returned so the caller can drop that value from
+// its cache. A broken client connection is not reported to the peer.
+func writeJSON(w http.ResponseWriter, code int, v any) error {
+	body, err := encodeJSON(v)
+	if err != nil {
+		code = http.StatusInternalServerError
+		w.Header().Del("X-Cache")
+		msg := fmt.Sprintf("internal error: response cannot be encoded: %v", err)
+		// An errorResponse is a string and an int, which always encode.
+		body, _ = encodeJSON(errorResponse{Error: msg, Code: code})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
+	_, _ = w.Write(body)
+	return err
+}
+
+// encodeJSON renders v as every JSON response body is written: indented
+// by two spaces and newline-terminated.
+func encodeJSON(v any) ([]byte, error) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
 	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	if err := enc.Encode(v); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }

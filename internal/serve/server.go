@@ -60,11 +60,6 @@ type Config struct {
 	// request (default GOMAXPROCS). The result is bit-identical at any
 	// setting — only latency changes.
 	FleetParallelism int
-	// FleetBatch selects the fleet rollout lane width: 0 (default) the
-	// auto-tuned batched rollout, > 0 that many vehicles per lockstep
-	// group, < 0 the per-vehicle reference path. Like FleetParallelism the
-	// result is bit-identical at any setting — only throughput changes.
-	FleetBatch int
 	// Log receives serving events and isolated panics; nil selects the
 	// process-default logger.
 	Log *log.Logger
@@ -236,7 +231,7 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 		// Never leak a panic value or stack to the client.
 		msg = "internal error: simulation panicked"
 	}
-	writeJSON(w, code, errorResponse{Error: msg, Code: code})
+	_ = writeJSON(w, code, errorResponse{Error: msg, Code: code}) // always encodes
 }
 
 // requestCtx bounds one request's simulation work by the client's
@@ -305,7 +300,10 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("X-Cache", string(outcome))
-	writeJSON(w, http.StatusOK, otem.EncodeResult(res))
+	if err := writeJSON(w, http.StatusOK, otem.EncodeResult(res)); err != nil {
+		s.cache.forget(cacheKey(spec))
+		s.logf("simulate: dropped a result that cannot be encoded: %v", err)
+	}
 }
 
 // handleBatch implements POST /v1/batch: the grid runs concurrently on
@@ -376,7 +374,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			entries[i].Result = &wire
 		}
 	}
-	writeJSON(w, http.StatusOK, BatchResponse{Results: entries})
+	if err := writeJSON(w, http.StatusOK, BatchResponse{Results: entries}); err != nil {
+		for _, spec := range specs {
+			s.cache.forget(cacheKey(spec))
+		}
+		s.logf("batch: dropped results that cannot be encoded: %v", err)
+	}
 }
 
 // handleFleet implements POST /v1/fleet: one Monte Carlo fleet run under
@@ -403,9 +406,7 @@ func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
 		}
 		defer s.gate.release()
 		out, err := runner.Map(ctx, s.pool, 1, func(ctx context.Context, _ int) (*otem.FleetResult, error) {
-			return s.runFleet(ctx, spec,
-				otem.WithParallelism(s.cfg.FleetParallelism),
-				otem.WithFleetBatch(s.cfg.FleetBatch))
+			return s.runFleet(ctx, spec, otem.WithParallelism(s.cfg.FleetParallelism))
 		})
 		if err != nil {
 			return nil, err
@@ -425,7 +426,10 @@ func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("X-Cache", string(outcome))
-	writeJSON(w, http.StatusOK, otem.EncodeFleet(res))
+	if err := writeJSON(w, http.StatusOK, otem.EncodeFleet(res)); err != nil {
+		s.fleetCache.forget(cacheKey(spec))
+		s.logf("fleet: dropped a result that cannot be encoded: %v", err)
+	}
 }
 
 // handleStream implements GET /v1/simulate/stream: one traced run,
@@ -449,6 +453,17 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
+	// The summary line is encoded before the 200 goes out, so a result
+	// that cannot be encoded is a 500 and leaves the cache.
+	wire := otem.EncodeResult(res)
+	steps := wire.Trace
+	wire.Trace = nil
+	summary, err := json.Marshal(wire)
+	if err != nil {
+		s.cache.forget(cacheKey(spec))
+		s.writeError(w, fmt.Errorf("serve: result cannot be encoded: %w", err))
+		return
+	}
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("X-Cache", string(outcome))
@@ -460,15 +475,12 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	// json.Encoder terminates every value with a newline, which is
-	// exactly one NDJSON record per Encode call.
-	wire := otem.EncodeResult(res)
-	steps := wire.Trace
-	wire.Trace = nil
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(wire); err != nil {
+	if _, err := w.Write(append(summary, '\n')); err != nil {
 		return // client went away; nothing sensible left to do
 	}
+	// json.Encoder terminates every value with a newline, which is
+	// exactly one NDJSON record per Encode call.
+	enc := json.NewEncoder(w)
 	for i := range steps {
 		if err := enc.Encode(steps[i]); err != nil {
 			return
@@ -525,7 +537,10 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("X-Cache", string(outcome))
-	writeJSON(w, http.StatusOK, otem.EncodePlan(res))
+	if err := writeJSON(w, http.StatusOK, otem.EncodePlan(res)); err != nil {
+		s.planCache.forget(cacheKey(spec))
+		s.logf("plan: dropped a plan that cannot be encoded: %v", err)
+	}
 }
 
 // fleetProgressEvent is one NDJSON progress line of GET /v1/fleet/stream.
@@ -591,7 +606,6 @@ func (s *Server) handleFleetStream(w http.ResponseWriter, r *http.Request) {
 		out, err := runner.Map(ctx, s.pool, 1, func(ctx context.Context, _ int) (*otem.FleetResult, error) {
 			return s.runFleet(ctx, spec,
 				otem.WithParallelism(s.cfg.FleetParallelism),
-				otem.WithFleetBatch(s.cfg.FleetBatch),
 				otem.WithProgress(progress))
 		})
 		if err != nil {
@@ -606,6 +620,13 @@ func (s *Server) handleFleetStream(w http.ResponseWriter, r *http.Request) {
 		s.metrics.cacheMisses.Add(1)
 	case cacheCoalesced:
 		s.metrics.cacheCoalesced.Add(1)
+	}
+	var final []byte
+	if err == nil {
+		if final, err = json.Marshal(otem.EncodeFleet(res)); err != nil {
+			s.fleetCache.forget(cacheKey(spec))
+			err = fmt.Errorf("serve: fleet result cannot be encoded: %w", err)
+		}
 	}
 	if err != nil {
 		if !wroteProgress {
@@ -626,7 +647,7 @@ func (s *Server) handleFleetStream(w http.ResponseWriter, r *http.Request) {
 	if !wroteProgress {
 		w.Header().Set("X-Cache", string(outcome))
 	}
-	_ = enc.Encode(otem.EncodeFleet(res))
+	_, _ = w.Write(append(final, '\n'))
 	if flusher != nil {
 		flusher.Flush()
 	}
@@ -635,7 +656,7 @@ func (s *Server) handleFleetStream(w http.ResponseWriter, r *http.Request) {
 // handleHealthz implements GET /healthz.
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	inflight, queued := s.gate.depth()
-	writeJSON(w, http.StatusOK, struct {
+	_ = writeJSON(w, http.StatusOK, struct {
 		Status   string `json:"status"`
 		Inflight int64  `json:"inflight"`
 		Queued   int64  `json:"queued"`

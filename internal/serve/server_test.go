@@ -580,3 +580,52 @@ func TestPprofGated(t *testing.T) {
 		t.Errorf("pprof enabled: GET /debug/pprof/symbol = %d, want 200", code)
 	}
 }
+
+// TestUnencodableResultIs500NotCached pins the ultracap_farad=1e308
+// request: the plant runs to NaN, and a NaN cannot be JSON-encoded. The
+// reply must be a 500 error body (not an empty 200), and the result must
+// not stay cached, so the repeat recomputes instead of being served as a
+// hit. The batch and streamed forms must fail the same way.
+func TestUnencodableResultIs500NotCached(t *testing.T) {
+	s := newTestServer(Config{})
+	var calls atomic.Int64
+	stubSim(s, &calls, otem.RunContext)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	check := func(what string, resp *http.Response) {
+		t.Helper()
+		body := readAll(t, resp)
+		if resp.StatusCode != http.StatusInternalServerError {
+			t.Fatalf("%s: status %d (%d-byte body), want 500", what, resp.StatusCode, len(body))
+		}
+		if got := resp.Header.Get("X-Cache"); got == "hit" {
+			t.Errorf("%s: served an unencodable result as a cache hit", what)
+		}
+		var e errorResponse
+		if err := json.Unmarshal(body, &e); err != nil || e.Code != http.StatusInternalServerError ||
+			!strings.Contains(e.Error, "cannot be encoded") {
+			t.Errorf("%s: body %q is not the encoding-failure 500 (%v)", what, body, err)
+		}
+	}
+	const req = `{"cycle":"UDDS","method":"parallel","ultracap_farad":1e308}`
+	for i := 1; i <= 2; i++ {
+		check(fmt.Sprintf("simulate %d", i), postJSON(t, ts.URL+"/v1/simulate", req))
+		if got := calls.Load(); got != int64(i) {
+			t.Fatalf("after request %d the simulator ran %d times, want %d", i, got, i)
+		}
+	}
+	check("batch", postJSON(t, ts.URL+"/v1/batch", `{"specs":[`+req+`]}`))
+	if n := s.cache.len(); n != 0 {
+		t.Errorf("cache holds %d entries, want 0", n)
+	}
+
+	resp, err := http.Get(ts.URL + "/v1/simulate/stream?method=parallel&cycle=UDDS&ultracap_farad=1e308")
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("stream", resp)
+	if n := s.cache.len(); n != 0 {
+		t.Errorf("cache holds %d entries after the stream, want 0", n)
+	}
+}

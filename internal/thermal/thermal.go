@@ -16,17 +16,20 @@
 //	C_c/N · dT_c,i/dt = h/N · (T_b,i − T_c,i) + W·(T_c,i−1 − T_c,i)
 //
 // with T_c,−1 the inlet temperature and W the coolant heat-capacity rate.
-// Integration is backward Euler on the coupled 2N system (solved by LU),
-// unconditionally stable.
+// Integration is backward Euler on the coupled 2N system, unconditionally
+// stable. The system is block lower-triangular: module i's battery row
+// couples only T_b,i and T_c,i, and its coolant row adds at most the
+// upstream T_c,i−1. One inlet-to-outlet sweep of 2×2 eliminations therefore
+// solves it exactly, in O(N) with no matrix. Every pivot is a sum of
+// positive capacities and non-negative couplings (cooling.Params.Validate),
+// so the sweep needs no pivoting and has no singular case.
 package thermal
 
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"repro/internal/cooling"
-	"repro/internal/linalg"
 )
 
 // PackNetwork is a distributed N-module pack thermal model.
@@ -39,26 +42,6 @@ type PackNetwork struct {
 	// Tb and Tc are the module battery and coolant temperatures, kelvin,
 	// index 0 at the coolant inlet.
 	Tb, Tc []float64
-
-	// Solver scratch, allocated on first use and reused every step: the
-	// backward-Euler system matrix, its LU factorisation, and the
-	// right-hand-side / solution vectors.
-	a   *linalg.Matrix
-	lu  linalg.LUFactor
-	rhs linalg.Vector
-	x   linalg.Vector
-
-	// Coefficient signature of the factorisation currently held in lu.
-	// The system matrix depends only on (cb, cc, h, w, advect) — not on the
-	// temperatures, heat input or inlet — so consecutive steps with the same
-	// dt and coupling coefficients (the common case: a fixed-dt simulation
-	// staying in one pump mode) reuse the factors and only rebuild the RHS.
-	sigValid  bool
-	sigAdvect bool
-	sigCB     uint64
-	sigCC     uint64
-	sigH      uint64
-	sigW      uint64
 }
 
 // NewPackNetwork builds a network with all nodes at the initial temperature.
@@ -91,84 +74,40 @@ func (net *PackNetwork) StepActive(qb, tInlet, dt float64) error {
 // couples to ambient with its share of the natural-convection coefficient,
 // and there is no advection between segments.
 func (net *PackNetwork) StepPassive(qb, ambient, dt float64) error {
-	return net.step(qb, net.Params.AmbientCoupling, ambient, dt, false)
+	return net.step(qb, net.Params.AmbientCoupling/float64(net.N), ambient, dt, false)
 }
 
-// step assembles and solves the backward-Euler system. With advect=true, w
-// is the advection rate connecting segments in a chain from the inlet; with
+// step solves the backward-Euler system by one sweep from the inlet. Per
+// module, with rb = cb·T_b + q the battery row's right-hand side, the
+// battery row gives T_b+ = (rb + h·T_c+)/(cb + h); substituting it into the
+// coolant row leaves one equation in T_c+:
+//
+//	(cc + w + h·cb/(cb+h))·T_c+ = cc·T_c + w·up + h·rb/(cb+h)
+//
+// where up is the temperature the coolant exchanges with through w. With
+// advect=true, w is the advection rate and up is the inlet temperature for
+// module 0 and the just-solved upstream segment after it; with
 // advect=false, w couples every segment directly to tin (ambient).
 func (net *PackNetwork) step(qb, w, tin, dt float64, advect bool) error {
 	if dt <= 0 {
 		return fmt.Errorf("thermal: non-positive dt %g", dt)
 	}
-	n := net.N
-	fN := float64(n)
+	fN := float64(net.N)
 	cb := net.Params.BatteryHeatCapacity / fN / dt
 	cc := net.Params.CoolantHeatCapacity / fN / dt
 	h := net.Params.HBC / fN
 	q := qb / fN
-	wAmb := w / fN // per-segment ambient share in passive mode
-
-	// Unknowns x = [Tb_0..Tb_{n-1}, Tc_0..Tc_{n-1}] at t+dt.
-	dim := 2 * n
-	if net.a == nil {
-		net.a = linalg.NewMatrix(dim, dim)
-		net.rhs = make(linalg.Vector, dim)
-		net.x = make(linalg.Vector, dim)
-	}
-
-	// The coolant coupling entering the matrix: the advection rate in active
-	// mode, the per-segment ambient share in passive mode.
-	wm := w
-	if !advect {
-		wm = wAmb
-	}
-	sb, sc, sh, sw := math.Float64bits(cb), math.Float64bits(cc), math.Float64bits(h), math.Float64bits(wm)
-	if !net.sigValid || net.sigAdvect != advect ||
-		net.sigCB != sb || net.sigCC != sc || net.sigH != sh || net.sigW != sw {
-		net.sigValid = false
-		a := net.a
-		a.Zero()
-		for i := 0; i < n; i++ {
-			bi := i     // battery row
-			ci := n + i // coolant row
-
-			// Battery node: cb·Tb+ − cb·Tb = h·(Tc+ − Tb+) + q
-			a.Set(bi, bi, cb+h)
-			a.Set(bi, ci, -h)
-
-			// Coolant node: cc·Tc+ − cc·Tc = h·(Tb+ − Tc+) plus either
-			// W·(Tc_{i−1}+ − Tc+) (advection chain) or wAmb·(ambient − Tc+).
-			a.Set(ci, ci, cc+h+wm)
-			a.Set(ci, bi, -h)
-			if advect && i > 0 {
-				a.Set(ci, n+i-1, -w)
-			}
-		}
-		if err := net.lu.Factorize(a); err != nil {
-			return fmt.Errorf("thermal: %w", err)
-		}
-		net.sigValid = true
-		net.sigAdvect = advect
-		net.sigCB, net.sigCC, net.sigH, net.sigW = sb, sc, sh, sw
-	}
-
-	rhs := net.rhs
-	for i := 0; i < n; i++ {
-		rhs[i] = cb*net.Tb[i] + q
-		ci := n + i
+	den := cc + w + h*cb/(cb+h)
+	up := tin
+	for i := range net.Tb {
+		rb := cb*net.Tb[i] + q
+		tc := (cc*net.Tc[i] + w*up + h*rb/(cb+h)) / den
+		net.Tb[i] = (rb + h*tc) / (cb + h)
+		net.Tc[i] = tc
 		if advect {
-			rhs[ci] = cc * net.Tc[i]
-			if i == 0 {
-				rhs[ci] += w * tin
-			}
-		} else {
-			rhs[ci] = cc*net.Tc[i] + wAmb*tin
+			up = tc
 		}
 	}
-	net.lu.SolveTo(net.x, rhs)
-	copy(net.Tb, net.x[:n])
-	copy(net.Tc, net.x[n:])
 	return nil
 }
 

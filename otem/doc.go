@@ -63,9 +63,7 @@
 // The same spec and seed produce a bit-identical result (same Digest, same
 // otem.fleet/v1 JSON from EncodeFleet) at any parallelism. Each worker
 // rolls its vehicles in structure-of-arrays batches with vectorized
-// lockstep bus solves; WithFleetBatch selects the lane width (0 = auto,
-// negative = the per-vehicle reference path) without changing a single
-// bit of the result.
+// lockstep bus solves, bit-identical to rolling each vehicle on its own.
 //
 // # Two-layer hierarchical MPC
 //
@@ -121,14 +119,4 @@
 //	if _, err := otem.CycleByName(name); errors.Is(err, otem.ErrUnknownCycle) { … }
 //	if _, err := otem.Baseline(name); errors.Is(err, otem.ErrUnknownBaseline) { … }
 //	if err := doBatch(ctx); errors.Is(err, otem.ErrCanceled) { … }
-//
-// # Migration from SimOptions
-//
-// Simulate historically took a variadic SimOptions struct. It now takes
-// functional options; the struct still satisfies the SimOption interface,
-// so existing call sites keep compiling, but new code should write
-//
-//	otem.Simulate(plant, ctrl, requests, otem.WithTrace(), otem.WithHorizon(16))
-//
-// instead of otem.Simulate(plant, ctrl, requests, otem.SimOptions{…}).
 package otem
